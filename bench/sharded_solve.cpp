@@ -3,16 +3,19 @@
 // Sweeps cluster count (how many weakly-connected components the bid
 // graph splits into) against executor thread count, timing repeated
 // rebind+solve rounds through one SolveContext — the epoch service's
-// steady-state clearing loop. The monolithic baseline (threads=1) runs
-// every negative-cycle search over ALL arcs; the sharded path scans only
-// the owning component's arcs per search, so the work drops by roughly
-// the component count even before any parallelism — which is what the
-// acceptance gate checks (>= 2x on the 8-cluster n=400 game), keeping it
-// meaningful on single-core CI runners. Thread counts beyond 1 add
-// wall-clock parallelism on multi-core hosts.
+// steady-state clearing loop. The whole-graph baseline ("mono") rebinds
+// the same context but solves its bound graph with one
+// flow::solve_max_welfare call on a reused Workspace, so every
+// negative-cycle search runs over ALL arcs; SolveContext::solve scans
+// only the owning component's arcs per search, so the work drops by
+// roughly the component count even before any parallelism (the
+// threads=1 row, components solved one after the other) — which is what
+// the acceptance gate checks (>= 2x on the 8-cluster n=400 game),
+// keeping it meaningful on single-core CI runners. Thread counts beyond
+// 1 add wall-clock parallelism on multi-core hosts.
 //
-// Every sharded solve is cross-checked bit-for-bit against the
-// monolithic circulation. Set MUSK_BENCH_SHORT=1 for the CI smoke
+// Every component solve is cross-checked bit-for-bit against the
+// whole-graph circulation. Set MUSK_BENCH_SHORT=1 for the CI smoke
 // variant (smaller clusters, fewer reps; same gate).
 #include <chrono>
 #include <cstdio>
@@ -21,6 +24,7 @@
 
 #include "flow/solve_context.hpp"
 #include "flow/solver.hpp"
+#include "flow/workspace.hpp"
 #include "gen/game_gen.hpp"
 #include "svc/executor.hpp"
 #include "util/assert.hpp"
@@ -64,13 +68,30 @@ struct RunResult {
   flow::Circulation last;
 };
 
-/// `reps` rebind+solve rounds through one context (executor == nullptr
-/// selects the monolithic path).
-RunResult run_epochs(const core::Game& game, flow::Executor* executor,
+/// `reps` rebind + whole-graph solve rounds: the baseline.
+RunResult run_whole(const core::Game& game, int reps) {
+  const core::BidVector bids = game.truthful_bids();
+  flow::SolveContext ctx;
+  flow::Workspace ws;
+  game.bind_graph(ctx, bids);  // structure build outside the timed region
+  const auto t0 = std::chrono::steady_clock::now();
+  RunResult r;
+  for (int rep = 0; rep < reps; ++rep) {
+    game.bind_graph(ctx, bids);
+    r.last =
+        flow::solve_max_welfare(ctx.graph(), ws, flow::SolverKind::kBellmanFord);
+  }
+  r.seconds = seconds_since(t0);
+  return r;
+}
+
+/// `reps` rebind+solve rounds through one context, components fanned
+/// out on `executor`.
+RunResult run_epochs(const core::Game& game, flow::Executor& executor,
                      int reps) {
   const core::BidVector bids = game.truthful_bids();
   flow::SolveContext ctx;
-  ctx.set_executor(executor);
+  ctx.set_executor(&executor);
   game.bind_graph(ctx, bids);  // structure build outside the timed region
   const auto t0 = std::chrono::steady_clock::now();
   RunResult r;
@@ -95,7 +116,7 @@ int main() {
   const std::vector<int> cluster_counts{1, 4, 8};
   const std::vector<int> thread_counts{1, 2, 8};
 
-  std::printf("sharded_solve: component-sharded vs monolithic epoch solve%s\n"
+  std::printf("sharded_solve: component-sharded vs whole-graph epoch solve%s\n"
               "(%d nodes per cluster, %d rebind+solve reps per cell)\n\n",
               short_mode ? " (short mode)" : "", nodes_per_cluster, reps);
   util::BenchReport bench("sharded_solve");
@@ -109,19 +130,18 @@ int main() {
   for (const int clusters : cluster_counts) {
     const core::Game game =
         clustered_game(clusters, nodes_per_cluster, /*seed=*/7);
-    const RunResult mono = run_epochs(game, nullptr, reps);
+    const RunResult mono = run_whole(game, reps);
     bench.add_seconds(util::format("solve/mono/c%d", clusters), mono.seconds,
                       static_cast<std::uint64_t>(reps));
     table.add_row({util::fmt_int(clusters), util::fmt_int(game.num_players()),
-                   util::fmt_int(game.num_edges()), "1 (mono)",
+                   util::fmt_int(game.num_edges()), "mono",
                    util::fmt_double(mono.seconds, 3),
                    util::fmt_double(reps / mono.seconds, 1), "1.00x"});
     for (const int threads : thread_counts) {
-      if (threads == 1) continue;  // concurrency 1 IS the monolith path
       svc::ParallelExecutor executor(threads);
-      const RunResult sharded = run_epochs(game, &executor, reps);
+      const RunResult sharded = run_epochs(game, executor, reps);
       MUSK_ASSERT_MSG(sharded.last == mono.last,
-                      "sharded solve diverged from monolithic solve");
+                      "sharded solve diverged from whole-graph solve");
       const double speedup = mono.seconds / sharded.seconds;
       if (clusters == 8 && threads == 8) gate_speedup = speedup;
       bench.add_seconds(

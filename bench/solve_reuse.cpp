@@ -4,12 +4,14 @@
 //     each game is extracted from a network that was first rebalanced to
 //     quiescence, which is the topology-stable, bids-only-varying regime
 //     the SolveContext layer targets (the epoch service re-clears such
-//     games thousands of times). The pre-refactor path rebuilt G_{-v}
-//     from scratch for every buyer (build_graph_without + a fresh solver
-//     workspace per solve); the SolveContext path binds the game once
-//     and runs every exclusion as an O(deg) capacity mask through pooled
-//     scratch. Both run single-threaded on identical games and must
-//     produce bit-identical circulations.
+//     games thousands of times). The fresh side is the tests' whole-graph
+//     oracle: it rebuilds G_{-v} from scratch for every buyer
+//     (build_graph_without + a fresh solver workspace per solve). The
+//     reuse side is the production sweep, M2Vcg::vcg_prices on one
+//     SolveContext: the game is bound once and every exclusion is an
+//     O(deg) capacity mask on a copy of the buyer's component. Both run
+//     single-threaded on identical games and must produce bit-identical
+//     prices and full-graph circulations.
 // (b) 1000 quiescent epochs through svc::RebalanceService: after the
 //     network converges, every clear must rebind in place — zero graph
 //     rebuilds, near-zero allocations.
@@ -19,7 +21,9 @@
 // Set MUSK_BENCH_SHORT=1 for the CI smoke variant (smaller sizes, fewer
 // epochs).
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -35,6 +39,7 @@
 #include "util/assert.hpp"
 #include "util/bench_json.hpp"
 #include "util/table.hpp"
+#include "whole_graph_oracle.hpp"
 
 namespace {
 
@@ -103,57 +108,58 @@ struct SweepResult {
   double seconds = 0.0;
   long long allocs = 0;
   long long solves = 0;
-  flow::Amount checksum = 0;  // sum of all exclusion flows (dead-code sink)
-  flow::Circulation last;     // cross-checked between the two paths
+  std::vector<double> prices;  // cross-checked between the two paths
+  flow::Circulation last;      // optimum of the full graph, likewise
 };
 
-/// The historic path: every exclusion re-solve constructs G_{-v} and a
-/// fresh workspace (the legacy solve_max_welfare allocates its scratch
-/// per call, exactly as the pre-SolveContext code did).
+/// Same doubles, bit for bit.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The whole-graph oracle: every exclusion re-solve constructs G_{-v}
+/// and a fresh workspace (solve_max_welfare without a workspace
+/// allocates its scratch per call).
 SweepResult sweep_fresh(const core::Game& game, const core::BidVector& bids,
-                        const std::vector<core::PlayerId>& buyers,
-                        flow::SolverKind kind, int reps) {
+                        std::size_t num_buyers, flow::SolverKind kind,
+                        int reps) {
   SweepResult r;
   const auto t0 = std::chrono::steady_clock::now();
   const long long a0 = g_allocs.load(std::memory_order_relaxed);
   for (int rep = 0; rep < reps; ++rep) {
-    const flow::Graph g = game.build_graph(bids);
-    r.last = flow::solve_max_welfare(g, kind);
-    ++r.solves;
-    for (const core::PlayerId v : buyers) {
-      const flow::Graph g_minus = game.build_graph_without(bids, v);
-      const flow::Circulation f = flow::solve_max_welfare(g_minus, kind);
-      for (const flow::Amount a : f) r.checksum += a;
-      ++r.solves;
-    }
+    r.prices = oracle::vcg_prices(game, bids, kind);
   }
   r.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   r.seconds = seconds_since(t0);
+  r.solves = reps * static_cast<long long>(1 + num_buyers);
+  r.last = oracle::circulation(game, bids, kind);
   return r;
 }
 
-/// The zero-rebuild path: bind once, mask per buyer.
+/// The production sweep through one reused context.
 SweepResult sweep_reuse(const core::Game& game, const core::BidVector& bids,
-                        const std::vector<core::PlayerId>& buyers,
-                        flow::SolverKind kind, int reps) {
+                        std::size_t num_buyers, flow::SolverKind kind,
+                        int reps) {
   SweepResult r;
+  const core::M2Vcg m2(kind);
   flow::SolveContext ctx;
   const auto t0 = std::chrono::steady_clock::now();
   const long long a0 = g_allocs.load(std::memory_order_relaxed);
   for (int rep = 0; rep < reps; ++rep) {
-    game.bind_graph(ctx, bids);
-    r.last = ctx.solve(kind);
-    ++r.solves;
-    for (const core::PlayerId v : buyers) {
-      ctx.mask_player(v);
-      const flow::Circulation f = ctx.solve(kind);
-      ctx.unmask();
-      for (const flow::Amount a : f) r.checksum += a;
-      ++r.solves;
-    }
+    r.prices = m2.vcg_prices(ctx, game, bids);
   }
   r.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
   r.seconds = seconds_since(t0);
+  r.solves = reps * static_cast<long long>(1 + num_buyers);
+  // The sweep left every component slot holding the full-graph optimum.
+  r.last = ctx.solve(kind);
   return r;
 }
 
@@ -187,12 +193,13 @@ int main() {
     const int reps = short_mode ? 6 : (n <= 50 ? 40 : n <= 200 ? 20 : 4);
     const auto kind = flow::SolverKind::kBellmanFord;  // M2's default
 
-    const SweepResult fresh = sweep_fresh(game, bids, buyers, kind, reps);
-    const SweepResult reuse = sweep_reuse(game, bids, buyers, kind, reps);
+    const SweepResult fresh =
+        sweep_fresh(game, bids, buyers.size(), kind, reps);
+    const SweepResult reuse =
+        sweep_reuse(game, bids, buyers.size(), kind, reps);
     MUSK_ASSERT_MSG(
-        fresh.last == reuse.last && fresh.checksum == reuse.checksum,
+        fresh.last == reuse.last && same_bits(fresh.prices, reuse.prices),
         "reuse path diverged from fresh path");
-    MUSK_ASSERT(fresh.solves == reuse.solves);
     const double speedup = fresh.seconds / reuse.seconds;
     if (n == 200) speedup_200 = speedup;
 

@@ -28,9 +28,9 @@ double welfare_without(const Game& game, const BidVector& bids, PlayerId v,
   return game.social_welfare(bids, f) - game.player_value(v, bids, f);
 }
 
-/// Zeroes the capacity of every edge incident to `v` in `g`, recording
-/// the previous values in `saved` (the component-local analogue of
-/// SolveContext::mask_player).
+/// Zeroes the capacity of every edge incident to `v` in `g` — G_{-v}
+/// restricted to v's component, the same zeroing as
+/// Game::build_graph_without — recording the previous values in `saved`.
 void mask_in(flow::Graph& g, PlayerId v,
              std::vector<std::pair<flow::EdgeId, flow::Amount>>& saved) {
   saved.clear();
@@ -76,28 +76,14 @@ std::vector<double> M2Vcg::vcg_prices(flow::SolveContext& ctx,
 
   std::vector<double> prices(static_cast<std::size_t>(game.num_players()), 0.0);
 
-  if (!ctx.shards_ready()) {
-    // Monolithic path: each exclusion is an O(deg) capacity mask on the
-    // already-bound context, re-solved on the whole graph.
-    for (const PlayerId v : buyers) {
-      ctx.mask_player(v);
-      const flow::Circulation f_minus = ctx.solve(solver_);
-      ctx.unmask();
-      prices[static_cast<std::size_t>(v)] =
-          welfare_without(game, bids, v, f_minus) -
-          welfare_without(game, bids, v, f);
-    }
-    return prices;
-  }
-
-  // Sharded path: f_{-v} differs from f only on v's weakly-connected
-  // component, so each exclusion re-solves that component alone, and
-  // components reprice as independent executor tasks. Every task owns a
-  // private copy of its component subgraph plus a fresh workspace —
-  // SolveContext stays single-threaded state. Prices land in disjoint
-  // slots (a buyer belongs to exactly one component), and each price is
-  // computed from the same full-graph f_{-v} welfare expression as the
-  // monolithic path, so the result is bit-identical to it.
+  // f_{-v} differs from f only on v's weakly-connected component, so
+  // each exclusion re-solves that component alone, and components
+  // reprice as independent executor tasks. Every task owns a private
+  // copy of its component subgraph plus a fresh workspace — SolveContext
+  // stays single-threaded state. Prices land in disjoint slots (a buyer
+  // belongs to exactly one component), and each price is computed from
+  // the full-graph f_{-v} welfare expression, so the result is
+  // bit-identical to solving G_{-v} whole.
   std::vector<std::vector<PlayerId>> by_component(
       static_cast<std::size_t>(ctx.num_components()));
   std::vector<int> priced_components;
@@ -109,7 +95,7 @@ std::vector<double> M2Vcg::vcg_prices(flow::SolveContext& ctx,
     }
     by_component[static_cast<std::size_t>(c)].push_back(v);
   }
-  ctx.executor()->run(priced_components.size(), [&](std::size_t i) {
+  ctx.executor().run(priced_components.size(), [&](std::size_t i) {
     const int c = priced_components[i];
     // Deliberate copy: each task masks caps in place, so it needs its
     // own graph, not the context's shared shard.
@@ -125,8 +111,8 @@ std::vector<double> M2Vcg::vcg_prices(flow::SolveContext& ctx,
       for (const auto& [e, cap] : saved) g.set_capacity(e, cap);
       // Scatter overwrites every component entry, so f_minus needs no
       // reset between buyers; outside the component it stays equal to f
-      // — exactly the whole-graph f_{-v} (unmasked components re-solve
-      // to their cached optimum deterministically).
+      // — exactly the whole-graph f_{-v} (the other components' optima
+      // do not depend on v).
       for (std::size_t local_e = 0; local_e < edges.size(); ++local_e) {
         f_minus[static_cast<std::size_t>(edges[local_e])] = local[local_e];
       }
@@ -148,8 +134,8 @@ Outcome M2Vcg::run_impl(flow::SolveContext& ctx, const Game& game,
   outcome.circulation = ctx.solve(solver_);
   const std::vector<double> aggregate = vcg_prices(ctx, game, bids);
 
-  // vcg_prices rebinds the same structure with the same bids and leaves
-  // no mask active, so the context still holds this game's graph.
+  // vcg_prices rebinds the same structure with the same bids and masks
+  // only task-local copies, so the context still holds this game's graph.
   std::vector<flow::CycleFlow> cycles = ctx.decompose(outcome.circulation);
 
   // Per-player total bid value over the whole circulation (denominator of

@@ -1,6 +1,6 @@
 // The flow layer's task-execution seam.
 //
-// SolveContext's sharded solve path and the mechanisms above it fan
+// SolveContext's per-component solve and the mechanisms above it fan
 // independent per-component work out through this interface instead of
 // spawning threads themselves (musk_lint's raw-thread rule enforces
 // that). The only production implementation is svc::ParallelExecutor —
@@ -16,8 +16,9 @@
 //   * tasks must be disjoint: fn(i) may not touch state fn(j) touches.
 //     The executor provides the barrier's synchronizes-with edges, so
 //     disjoint tasks need no locks of their own;
-//   * concurrency() == 1 means fn runs inline on the caller —
-//     SolveContext treats that as "legacy path" and skips sharding.
+//   * concurrency() == 1 means fn runs inline on the caller. The work
+//     is the same at any concurrency; only how much runs at once
+//     changes.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +53,9 @@ class Executor {
   virtual void set_cancel(util::CancelToken* /*token*/) {}
 };
 
-/// Inline executor: runs every task sequentially on the caller. Useful
-/// as an explicit "threads = 1" stand-in and in tests.
+/// Inline executor: runs every task sequentially on the caller. Holds no
+/// state, so one instance may serve any number of callers; SolveContext
+/// uses a shared one when no executor is attached.
 class SerialExecutor final : public Executor {
  public:
   int concurrency() const override { return 1; }

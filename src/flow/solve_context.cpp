@@ -39,82 +39,18 @@ void SolveContext::rebind_gains(std::span<const double> gains) {
   ++stats_.rebinds;
 }
 
-void SolveContext::mask_player(NodeId v) {
-  MUSK_ASSERT_MSG(bound_, "mask_player before bind");
-  MUSK_ASSERT_MSG(masked_player_ < 0, "a capacity mask is already active");
-  MUSK_ASSERT(v >= 0 && v < graph_.num_nodes());
-  saved_caps_.clear();
-  // No self-loops, so out- and in-incidence are disjoint edge sets.
-  for (EdgeId e : graph_.out_edges(v)) {
-    saved_caps_.emplace_back(e, graph_.edge(e).capacity);
-    graph_.set_capacity(e, 0);
-  }
-  for (EdgeId e : graph_.in_edges(v)) {
-    saved_caps_.emplace_back(e, graph_.edge(e).capacity);
-    graph_.set_capacity(e, 0);
-  }
-  masked_player_ = v;
-
-  // Route the mask to v's component slot so the next sharded solve
-  // re-solves only that component. A stale pool (no sharded solve since
-  // the last bind) is left alone: solve() falls back to the monolithic
-  // path for the masked call, which is bit-identical anyway.
-  mask_in_slots_ = sharding_enabled() && shards_current();
-  masked_slot_ = kNoComponent;
-  if (mask_in_slots_) {
-    const int c = partitioner_.partition().component_of(v);
-    masked_slot_ = c;
-    if (c != kNoComponent) {
-      ComponentSlot& slot = slots_[static_cast<std::size_t>(c)];
-      slot_saved_caps_.clear();
-      for (const EdgeId local : slot.graph.out_edges(v)) {
-        slot_saved_caps_.emplace_back(local, slot.graph.edge(local).capacity);
-        slot.graph.set_capacity(local, 0);
-      }
-      for (const EdgeId local : slot.graph.in_edges(v)) {
-        slot_saved_caps_.emplace_back(local, slot.graph.edge(local).capacity);
-        slot.graph.set_capacity(local, 0);
-      }
-      slot_saved_flow_ = slot.flow;
-      slot_saved_clean_ = slot.clean;
-      slot.clean = false;
-    }
-  }
-}
-
-void SolveContext::unmask() {
-  MUSK_ASSERT_MSG(masked_player_ >= 0, "unmask without an active mask");
-  for (const auto& [e, cap] : saved_caps_) {
-    graph_.set_capacity(e, cap);
-  }
-  saved_caps_.clear();
-  masked_player_ = -1;
-
-  if (mask_in_slots_ && masked_slot_ != kNoComponent) {
-    // Restore the slot's capacities AND its pre-mask cached flow: the
-    // unmasked optimum of an untouched component is deterministic, so
-    // the saved cache is exactly what a re-solve would produce.
-    ComponentSlot& slot = slots_[static_cast<std::size_t>(masked_slot_)];
-    for (const auto& [local, cap] : slot_saved_caps_) {
-      slot.graph.set_capacity(local, cap);
-    }
-    slot_saved_caps_.clear();
-    slot.flow = std::move(slot_saved_flow_);
-    slot_saved_flow_ = Circulation();
-    slot.clean = slot_saved_clean_;
-  }
-  mask_in_slots_ = false;
-  masked_slot_ = kNoComponent;
+Executor& SolveContext::executor() const {
+  // Stateless, so one instance safely serves every context and thread.
+  static SerialExecutor inline_executor;
+  return executor_ != nullptr ? *executor_ : inline_executor;
 }
 
 void SolveContext::ensure_shards() {
-  MUSK_ASSERT_MSG(masked_player_ < 0,
-                  "shard pool may not be (re)built under an active mask");
   if (shard_builds_mark_ != stats_.structure_builds) {
     // Topology changed: re-partition and rebuild every slot graph. Each
     // slot build is a real graph construction and is counted as one, so
-    // SolveStats::graph_rebuilds sums the sharded path's rebuild work
-    // across components instead of sampling one.
+    // SolveStats::graph_rebuilds sums the rebuild work across components
+    // instead of sampling one.
     const Partition& part = partitioner_.run(graph_);
     const int k = part.num_components();
     slots_.resize(static_cast<std::size_t>(k));
@@ -136,7 +72,7 @@ void SolveContext::ensure_shards() {
     shard_sync_mark_ = stats_.structure_builds + stats_.rebinds;
   } else if (shard_sync_mark_ != stats_.structure_builds + stats_.rebinds) {
     // Same topology, fresh capacities/gains (a rebind): refresh every
-    // slot in place — the sharded analogue of the zero-rebuild rebind.
+    // slot in place — the per-component zero-rebuild rebind.
     for (ComponentSlot& slot : slots_) {
       for (std::size_t i = 0; i < slot.edges.size(); ++i) {
         const Edge& edge = graph_.edge(slot.edges[i]);
@@ -152,64 +88,9 @@ void SolveContext::ensure_shards() {
 
 Circulation SolveContext::solve(SolverKind kind, SolveStats* stats) {
   MUSK_ASSERT_MSG(bound_, "SolveContext::solve before bind");
-  // A masked solve may use the shard pool only if the mask reached it
-  // and nothing re-bound the context since (a stale pool would solve
-  // yesterday's gains). The monolithic fallback is bit-identical.
-  const bool masked_shardable = mask_in_slots_ && shards_current();
-  const bool monolith =
-      !sharding_enabled() || (masked_player_ >= 0 && !masked_shardable);
-  try {
-    return monolith ? solve_monolith(kind, stats)
-                    : solve_sharded(kind, stats);
-  } catch (const util::SolveCancelled&) {
-    // All-or-nothing: the partial iterate died with the unwind (sharded
-    // merges happen only after every task finished), so the caller sees
-    // no result at all. Completed component slots keep their cached
-    // optimum; interrupted ones stay dirty and re-solve next call.
-    cancel_dirty_ = true;
-    ++stats_.cancelled;
-    if (stats != nullptr) ++stats->cancelled;
-    MUSK_OBS_COUNT("flow.solve.cancelled_total", 1);
-    throw;
-  }
-}
-
-Circulation SolveContext::solve_monolith(SolverKind kind, SolveStats* stats) {
   MUSK_OBS_SPAN(span, solve_span_name(kind));
   span.set_detail(solver_kind_name(kind));
-  SolveStats local;
-  if (cancel_dirty_) {
-    // The whole-graph re-run after an interrupted solve counts as one
-    // rebound unit of work (the monolith has a single "slot").
-    local.rebinds_after_cancel = 1;
-    cancel_dirty_ = false;
-  }
-  Circulation f = solve_max_welfare(graph_, ws_, kind, &local, cancel_);
-  local.graph_rebuilds =
-      static_cast<int>(stats_.structure_builds - builds_at_last_solve_);
-  builds_at_last_solve_ = stats_.structure_builds;
-  ++stats_.solves;
-  stats_.fallbacks += local.fallbacks;
-  last_components_ = graph_.num_edges() > 0 ? 1 : 0;
-  last_largest_component_ = graph_.num_edges();
-  MUSK_OBS_COUNT("flow.solve.total", 1);
-  MUSK_OBS_COUNT("flow.solve.fallback_total",
-                 static_cast<std::uint64_t>(local.fallbacks));
-  MUSK_OBS_HISTOGRAM("flow.solve.seconds", span.end());
-  if (stats != nullptr) {
-    stats->cycles_cancelled += local.cycles_cancelled;
-    stats->units_pushed += local.units_pushed;
-    stats->fallbacks += local.fallbacks;
-    stats->graph_rebuilds += local.graph_rebuilds;
-    stats->rebinds_after_cancel += local.rebinds_after_cancel;
-  }
-  return f;
-}
-
-Circulation SolveContext::solve_sharded(SolverKind kind, SolveStats* stats) {
-  MUSK_OBS_SPAN(span, solve_span_name(kind));
-  span.set_detail(solver_kind_name(kind));
-  if (masked_player_ < 0) ensure_shards();
+  ensure_shards();
 
   // Solve the dirty slots as disjoint executor tasks. Clean slots keep
   // their cached optimum: a deterministic solver re-run on unchanged
@@ -225,16 +106,28 @@ Circulation SolveContext::solve_sharded(SolverKind kind, SolveStats* stats) {
     cancel_dirty_ = false;
   }
   slot_stats_.assign(dirty_slots_.size(), SolveStats{});
-  executor_->run(dirty_slots_.size(), [&](std::size_t i) {
-    ComponentSlot& slot =
-        slots_[static_cast<std::size_t>(dirty_slots_[i])];
-    MUSK_OBS_SPAN(component_span, "core.solve.component");
-    component_span.set_detail(solver_kind_name(kind));
-    slot.flow =
-        solve_max_welfare(slot.graph, slot.ws, kind, &slot_stats_[i], cancel_);
-    slot.clean = true;
-    MUSK_OBS_HISTOGRAM("core.solve.component.seconds", component_span.end());
-  });
+  try {
+    executor().run(dirty_slots_.size(), [&](std::size_t i) {
+      ComponentSlot& slot =
+          slots_[static_cast<std::size_t>(dirty_slots_[i])];
+      MUSK_OBS_SPAN(component_span, "core.solve.component");
+      component_span.set_detail(solver_kind_name(kind));
+      slot.flow = solve_max_welfare(slot.graph, slot.ws, kind,
+                                    &slot_stats_[i], cancel_);
+      slot.clean = true;
+      MUSK_OBS_HISTOGRAM("core.solve.component.seconds",
+                         component_span.end());
+    });
+  } catch (const util::SolveCancelled&) {
+    // All-or-nothing: the merge below never ran, so the caller sees no
+    // result at all. Completed slots keep their cached optimum;
+    // interrupted ones stay dirty and re-solve next call.
+    cancel_dirty_ = true;
+    ++stats_.cancelled;
+    if (stats != nullptr) ++stats->cancelled;
+    MUSK_OBS_COUNT("flow.solve.cancelled_total", 1);
+    throw;
+  }
 
   // Deterministic merge in component-id order: scatter each component's
   // local flows to their global edge ids and sum the per-component
@@ -266,11 +159,10 @@ Circulation SolveContext::solve_sharded(SolverKind kind, SolveStats* stats) {
   // graph (components share no edges, so this can only fail on a
   // merge-order bug — exactly what it is here to catch).
   MUSK_ASSERT_MSG(is_feasible(graph_, f),
-                  "audit: sharded merge produced an infeasible circulation");
+                  "audit: component merge produced an infeasible circulation");
 #endif
 
   MUSK_OBS_COUNT("flow.solve.total", 1);
-  MUSK_OBS_COUNT("flow.solve.sharded_total", 1);
   MUSK_OBS_COUNT("flow.solve.fallback_total",
                  static_cast<std::uint64_t>(local.fallbacks));
   MUSK_OBS_HISTOGRAM("flow.solve.seconds", span.end());
@@ -288,26 +180,26 @@ std::vector<CycleFlow> SolveContext::decompose(const Circulation& f) {
   MUSK_ASSERT_MSG(bound_, "SolveContext::decompose before bind");
   MUSK_OBS_SPAN(span, "flow.decompose");
   std::vector<CycleFlow> cycles =
-      decompose_sign_consistent(graph_, f, ws_.dec, cancel_);
+      decompose_sign_consistent(graph_, f, dec_, cancel_);
   MUSK_OBS_COUNT("flow.decompose.cycles_total", cycles.size());
   MUSK_OBS_HISTOGRAM("flow.decompose.seconds", span.end());
   return cycles;
 }
 
 const Graph& SolveContext::component_graph(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
+  MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
   MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
   return slots_[static_cast<std::size_t>(c)].graph;
 }
 
 std::span<const EdgeId> SolveContext::component_edges(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
+  MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
   MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
   return slots_[static_cast<std::size_t>(c)].edges;
 }
 
 const Circulation& SolveContext::component_flow(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
+  MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
   MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
   const ComponentSlot& slot = slots_[static_cast<std::size_t>(c)];
   MUSK_ASSERT_MSG(slot.clean, "component flow requested before its solve");

@@ -1,58 +1,42 @@
 // SolveContext: the zero-rebuild solve path.
 //
-// A SolveContext owns a flow::Graph plus the pooled solver Workspace and
-// lets callers run many solves on one topology without re-allocating
-// either. The contract:
+// A SolveContext owns a bound flow::Graph and a pool of per-component
+// solve slots, and lets callers run many solves on one topology without
+// re-allocating either. The contract:
 //
 //   * bind_from(source)   — if the source has the same structure as the
 //     currently bound graph (node count and per-edge endpoints), only
 //     capacities and gains are refreshed in place ("rebind", O(m), no
 //     allocation); otherwise the graph is rebuilt ("structure build").
 //   * rebind_gains(gains) — cheapest path: refresh gains only.
-//   * mask_player(v)      — zero the capacity of every edge incident to v
-//     in O(deg(v)) using the graph's adjacency, saving the old values;
-//     unmask() restores them. The masked graph is exactly the paper's
-//     G_{-v}, so VCG exclusion re-solves need no graph rebuild at all.
-//   * solve(kind, stats)  — solve_max_welfare on the bound graph through
-//     the pooled workspace. SolveStats::graph_rebuilds reports how many
-//     structure builds this context performed since its previous solve
-//     (0 on a warm rebind-only path).
+//   * solve(kind, stats)  — the welfare-maximizing circulation of the
+//     bound graph, solved by weakly-connected component (below).
+//     SolveStats::graph_rebuilds reports how many graph constructions
+//     this context performed since its previous solve (0 on a warm
+//     rebind-only path).
 //
-// Results are bit-identical to building a fresh Graph and calling the
-// legacy solvers: only buffers are reused, never algorithmic state.
+// There is one solve routine. solve() partitions the bound graph into
+// weakly-connected components (flow::Partitioner) and solves each as an
+// independent task on the attached Executor — inline, one after the
+// other, when none is attached — merging flows and stats in
+// component-id order. The merged result is bit-identical to
+// flow::solve_max_welfare on the whole bound graph for every solver kind
+// (DESIGN.md §13 has the per-solver argument); SolveStats counters sum
+// across components. Each component slot keeps its own subgraph (global
+// node-id space, component edges in ascending global order), workspace
+// and cached circulation. The slot pool is (re)built only on structure
+// builds and refreshed in place on rebinds, so quiescent epochs perform
+// no partitioning and no graph construction. The thread count only sets
+// how many component tasks run at once.
 //
-// Component sharding (set_executor): when an Executor with
-// concurrency > 1 is attached, solve() partitions the bound graph into
-// weakly-connected components (flow::Partitioner) and solves them as
-// independent tasks, merging flows and stats in component-id order.
-// The merged result is bit-identical to the monolithic solve for every
-// solver kind (DESIGN.md §13 has the per-solver argument); SolveStats
-// counters sum across components. Each component keeps its own subgraph
-// (global node-id space, component edges in ascending global order),
-// workspace, and cached circulation:
-//
-//   * the shard pool is (re)built only on structure builds and its
-//     capacities/gains are refreshed in place on rebinds, so the
-//     zero-rebuild contract survives sharding — quiescent epochs still
-//     perform no partitioning and no graph construction;
-//   * mask_player(v) additionally masks only v's component and marks it
-//     dirty, so a masked solve re-solves exactly one component and
-//     reuses every other component's cached flow — the O(own-component)
-//     VCG reprice. An incremental solve's SolveStats cover only the
-//     re-solved components (the cached ones did no work).
-//
-// With no executor — or one with concurrency() == 1 — every call takes
-// the literal legacy whole-graph path ("--threads 1").
-//
-// Thread ownership: a SolveContext is single-threaded state, like the
-// Workspace it embeds; only the component tasks it hands to the
-// executor run concurrently, and those touch disjoint slots. One
-// context per thread; the thread_local local_context() backs legacy
-// entry points. See DESIGN.md §9 and §13.
+// Thread ownership: a SolveContext is single-threaded state; only the
+// component tasks it hands to the executor run concurrently, and those
+// touch disjoint slots. One context per thread; the thread_local
+// local_context() backs the context-free entry points. See DESIGN.md §9
+// and §13.
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "flow/decompose.hpp"
@@ -68,8 +52,8 @@ namespace musketeer::flow {
 /// Lifetime counters of one SolveContext.
 struct ContextStats {
   /// Full Graph (re)constructions: binds on a new/changed structure plus
-  /// per-component shard-pool (re)builds — one count per graph built, so
-  /// the sharded path's rebuild work is summed, not sampled.
+  /// per-component slot (re)builds — one count per graph built, so the
+  /// rebuild work is summed over components, not sampled.
   long long structure_builds = 0;
   /// In-place capacity/gain refreshes on an unchanged structure.
   long long rebinds = 0;
@@ -96,15 +80,16 @@ class SolveContext {
     return graph_;
   }
 
-  Workspace& workspace() { return ws_; }
   const ContextStats& stats() const { return stats_; }
 
-  /// Attaches the executor the sharded solve path fans component tasks
-  /// out through (borrowed; must outlive the context or be detached with
-  /// nullptr). nullptr or concurrency() == 1 selects the legacy
-  /// whole-graph path.
+  /// Attaches the executor solve() fans component tasks out through
+  /// (borrowed; must outlive the context or be detached with nullptr).
+  /// With none attached, component tasks run inline on the caller.
   void set_executor(Executor* executor) { executor_ = executor; }
-  Executor* executor() const { return executor_; }
+
+  /// The attached executor, or a shared inline SerialExecutor when none
+  /// is attached.
+  Executor& executor() const;
 
   /// Attaches the cancellation token (borrowed; nullptr detaches) that
   /// every solve and decompose checks at its iteration boundaries, and
@@ -122,7 +107,6 @@ class SolveContext {
 
   /// Adopts `g` as the bound graph (always a structure build).
   void bind(Graph&& g) {
-    MUSK_ASSERT_MSG(masked_player_ < 0, "bind while a capacity mask is active");
     graph_ = std::move(g);
     bound_ = true;
     ++stats_.structure_builds;
@@ -135,7 +119,6 @@ class SolveContext {
   /// Returns the bound graph.
   template <typename Source>
   const Graph& bind_from(const Source& src) {
-    MUSK_ASSERT_MSG(masked_player_ < 0, "bind while a capacity mask is active");
     const NodeId n = src.num_nodes();
     const EdgeId m = src.num_edges();
     bool match = bound_ && graph_.num_nodes() == n && graph_.num_edges() == m;
@@ -167,24 +150,8 @@ class SolveContext {
   /// Refreshes per-edge gains only (capacities and structure untouched).
   void rebind_gains(std::span<const double> gains);
 
-  /// Zeroes the capacity of every edge incident to `v` (the paper's
-  /// G_{-v}), saving the previous capacities. O(deg(v)). At most one
-  /// mask may be active at a time. With a current shard pool the mask
-  /// also lands on v's component slot only, so the next solve re-solves
-  /// just that component.
-  void mask_player(NodeId v);
-
-  /// Restores the capacities saved by mask_player (and the masked
-  /// component's cached flow, so the shard pool is warm again).
-  void unmask();
-
-  /// Player currently masked, or -1.
-  NodeId masked_player() const { return masked_player_; }
-
-  /// Runs solve_max_welfare on the bound graph through the pooled
-  /// workspace — monolithically, or sharded by component when an
-  /// executor with concurrency > 1 is attached. Bit-identical to the
-  /// legacy entry point either way.
+  /// Solves the bound graph component by component (see the header
+  /// comment). Bit-identical to solve_max_welfare on the whole graph.
   Circulation solve(SolverKind kind = SolverKind::kBellmanFord,
                     SolveStats* stats = nullptr);
 
@@ -193,23 +160,23 @@ class SolveContext {
   /// start nodes is part of the outcome's bit-identity.
   std::vector<CycleFlow> decompose(const Circulation& f);
 
-  // --- Shard pool introspection (valid after a sharded solve) ---------
+  // --- Component slot introspection (valid after a solve) ------------
 
-  /// True when the last solve went through the sharded path and the
-  /// shard pool still matches the bound graph (no re-bind since). The
-  /// component accessors below require this.
+  /// True when a solve ran since the last bind, so the slot pool mirrors
+  /// the bound graph. The component accessors below require this.
   bool shards_ready() const {
-    return sharding_enabled() && shards_current() && !slots_.empty();
+    return shard_builds_mark_ == stats_.structure_builds &&
+           shard_sync_mark_ == stats_.structure_builds + stats_.rebinds;
   }
 
   int num_components() const {
-    MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
+    MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
     return partitioner_.partition().num_components();
   }
 
   /// Component owning node `v`, or flow::kNoComponent.
   int component_of(NodeId v) const {
-    MUSK_ASSERT_MSG(shards_ready(), "no current shard pool");
+    MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
     return partitioner_.partition().component_of(v);
   }
 
@@ -225,9 +192,8 @@ class SolveContext {
   /// solve (indexed like component_graph(c)'s edges).
   const Circulation& component_flow(int c) const;
 
-  /// Components the last solve partitioned into (1 on the monolithic
-  /// path with a non-empty graph, 0 before any solve or on an empty
-  /// graph) and the largest component's edge count.
+  /// Components the last solve partitioned into (0 before any solve or
+  /// on an empty graph) and the largest component's edge count.
   int last_component_count() const { return last_components_; }
   EdgeId last_largest_component() const { return last_largest_component_; }
 
@@ -241,38 +207,21 @@ class SolveContext {
     bool clean = false;         ///< flow matches graph's current caps/gains
   };
 
-  /// True when an attached executor makes sharding worthwhile at all.
-  bool sharding_enabled() const {
-    return executor_ != nullptr && executor_->concurrency() > 1;
-  }
-
-  /// True when the shard pool mirrors the bound graph's structure and
-  /// its current capacities/gains.
-  bool shards_current() const {
-    return shard_builds_mark_ == stats_.structure_builds &&
-           shard_sync_mark_ == stats_.structure_builds + stats_.rebinds;
-  }
-
-  /// (Re)builds or refreshes the shard pool to mirror the bound graph.
+  /// (Re)builds or refreshes the slot pool to mirror the bound graph.
   void ensure_shards();
 
-  Circulation solve_monolith(SolverKind kind, SolveStats* stats);
-  Circulation solve_sharded(SolverKind kind, SolveStats* stats);
-
   Graph graph_{0};
-  Workspace ws_;
+  DecomposeScratch dec_;
   ContextStats stats_;
   bool bound_ = false;
   util::CancelToken* cancel_ = nullptr;  ///< borrowed
   /// The previous solve was cancelled: the next one re-runs interrupted
   /// work and reports it as rebinds_after_cancel.
   bool cancel_dirty_ = false;
-  NodeId masked_player_ = -1;
-  std::vector<std::pair<EdgeId, Amount>> saved_caps_;
   long long builds_at_last_solve_ = 0;
 
-  // --- Shard pool (sharded path only) --------------------------------
-  Executor* executor_ = nullptr;  ///< borrowed
+  // --- Component slot pool -------------------------------------------
+  Executor* executor_ = nullptr;  ///< borrowed; nullptr = inline
   Partitioner partitioner_;
   std::vector<ComponentSlot> slots_;
   /// stats_.structure_builds value the pool's structure mirrors
@@ -281,14 +230,6 @@ class SolveContext {
   /// stats_.structure_builds + stats_.rebinds value the pool's
   /// capacities/gains mirror, or -1.
   long long shard_sync_mark_ = -1;
-  /// Slot masked alongside the context mask (kNoComponent when the
-  /// masked player is isolated), and whether the active mask reached the
-  /// pool at all (false when the pool was stale at mask time).
-  int masked_slot_ = kNoComponent;
-  bool mask_in_slots_ = false;
-  std::vector<std::pair<EdgeId, Amount>> slot_saved_caps_;  ///< local ids
-  Circulation slot_saved_flow_;
-  bool slot_saved_clean_ = false;
   /// Per-solve scratch: dirty slot ids and their solve stats.
   std::vector<int> dirty_slots_;
   std::vector<SolveStats> slot_stats_;
@@ -296,8 +237,8 @@ class SolveContext {
   EdgeId last_largest_component_ = 0;
 };
 
-/// The calling thread's shared context. Backs the legacy (context-free)
-/// mechanism entry points; never hand it to another thread.
+/// The calling thread's shared context. Backs the context-free mechanism
+/// entry points; never hand it to another thread.
 SolveContext& local_context();
 
 }  // namespace musketeer::flow

@@ -77,9 +77,9 @@ struct ServiceConfig {
   int first_epoch = 0;
   /// Solve concurrency: worker threads (including the clearing thread)
   /// the epoch solve fans component tasks out across. 0 = hardware
-  /// concurrency; 1 = the literal legacy whole-graph path (no
-  /// partitioning, no pool). Outcomes are bit-identical at any value —
-  /// see DESIGN.md §13.
+  /// concurrency; 1 = the component tasks run inline on the clearing
+  /// thread (no pool). The solve is the same at any value, so outcomes
+  /// are bit-identical — see DESIGN.md §13.
   int threads = 0;
   /// Per-attempt clearing deadline (0 = disabled, the legacy run-to-
   /// completion behavior). When an attempt's solve exceeds it, the solve
@@ -206,8 +206,8 @@ struct EpochReport {
   /// Not part of the wire protocol (local observability only).
   int graph_rebuilds = 0;
   /// Weakly-connected components the epoch's bid graph partitioned into
-  /// and the largest component's edge count (1 / game_edges on the
-  /// monolithic --threads 1 path; 0 for an empty epoch).
+  /// and the largest component's edge count (0 for an empty epoch). The
+  /// same at every thread count.
   int solve_components = 0;
   int largest_component = 0;
   /// Degradation ladder rungs this epoch descended before clearing

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/properties.hpp"
 #include "flow/solve_context.hpp"
 #include "gen/game_gen.hpp"
+#include "whole_graph_oracle.hpp"
 
 namespace musketeer::core {
 namespace {
@@ -116,7 +120,8 @@ TEST(M2Test, EfficiencyUnderReportedBids) {
 TEST(M2Test, PricesBitIdenticalThroughReusedContext) {
   // The workspace-reuse equivalence bar extends to prices: a context
   // that has been through many unrelated games must yield exactly the
-  // doubles a fresh context does, masked exclusion solves included.
+  // doubles a fresh context does, and both must match the whole-graph
+  // oracle (G and each G_{-v} solved whole) bit for bit.
   util::Rng rng(0xBEEF);
   gen::GameConfig config;
   config.depleted_share = 0.35;
@@ -129,9 +134,15 @@ TEST(M2Test, PricesBitIdenticalThroughReusedContext) {
     const std::vector<double> reused = m2.vcg_prices(warm, game, bids);
     flow::SolveContext fresh;
     const std::vector<double> expected = m2.vcg_prices(fresh, game, bids);
+    const std::vector<double> oracle_prices =
+        oracle::vcg_prices(game, bids, flow::SolverKind::kBellmanFord);
     ASSERT_EQ(reused.size(), expected.size());
+    ASSERT_EQ(oracle_prices.size(), expected.size());
     for (std::size_t v = 0; v < expected.size(); ++v) {
       EXPECT_EQ(reused[v], expected[v]) << "round " << round << " player " << v;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[v]),
+                std::bit_cast<std::uint64_t>(oracle_prices[v]))
+          << "round " << round << " player " << v;
     }
     // And the legacy (thread-local context) entry point agrees too.
     const std::vector<double> legacy = m2.vcg_prices(game, bids);

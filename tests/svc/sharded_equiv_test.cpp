@@ -1,10 +1,13 @@
-// The headline invariant of the component-sharded solve pipeline: a
-// sharded, multi-threaded solve is BIT-identical to the legacy
-// whole-graph solve — circulations, priced cycles, VCG prices (compared
-// at the bit level, not within a tolerance), SolveStats counters, and
-// end-to-end settled-network digests — for every mechanism, solver kind,
-// and thread count. Lives in the svc suite (labelled svc) so the tsan CI
-// preset races the executor's worker pool.
+// The headline invariant of the component-sharded solve pipeline: the
+// per-component solve, at any thread count, is BIT-identical to the
+// whole-graph oracle (tests/whole_graph_oracle.hpp: one solve of the full
+// graph, one of each G_{-v}) — circulations, cycles, VCG prices
+// (compared at the bit level, not within a tolerance) and SolveStats
+// counters — and every mechanism's priced outcome and the end-to-end
+// settled-network digests do not depend on the thread count. Covers
+// every mechanism and solver kind at 1, 2 and 8 threads. Lives in the
+// svc suite (labelled svc) so the tsan CI preset races the executor's
+// worker pool.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,13 +22,16 @@
 #include "core/m3_double_auction.hpp"
 #include "core/m4_delayed.hpp"
 #include "core/mechanism_factory.hpp"
+#include "flow/decompose.hpp"
 #include "flow/solve_context.hpp"
+#include "flow/solver.hpp"
 #include "gen/game_gen.hpp"
 #include "sim/engine.hpp"
 #include "svc/executor.hpp"
 #include "svc/sim_backend.hpp"
 #include "svc_test_util.hpp"
 #include "util/rng.hpp"
+#include "whole_graph_oracle.hpp"
 
 namespace musketeer::svc {
 namespace {
@@ -60,6 +66,21 @@ void expect_outcomes_identical(const core::Outcome& got,
   }
 }
 
+/// `got`'s circulation and cycles against the oracle: `want` (a
+/// whole-graph solve of `graph`) and its whole-graph peel.
+void expect_matches_oracle(const core::Outcome& got, const flow::Graph& graph,
+                           const flow::Circulation& want,
+                           const std::string& what) {
+  EXPECT_EQ(got.circulation, want) << what;
+  const std::vector<flow::CycleFlow> cycles =
+      flow::decompose_sign_consistent(graph, want);
+  ASSERT_EQ(got.cycles.size(), cycles.size()) << what;
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    EXPECT_EQ(got.cycles[i].cycle.edges, cycles[i].edges) << what;
+    EXPECT_EQ(got.cycles[i].cycle.amount, cycles[i].amount) << what;
+  }
+}
+
 /// `clusters` disjoint BA games glued into one Game with node offsets:
 /// the partitioner must split it back into exactly `clusters` weakly
 /// connected components.
@@ -84,15 +105,16 @@ core::Game clustered_game(int clusters, flow::NodeId nodes_per_cluster,
 class ShardedEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 // 100 seeded games (a mix of connected and multi-component) through M3
-// with the Bellman-Ford solver: the sharded run at the parameterized
-// thread count must reproduce the monolithic outcome bit for bit.
+// with the Bellman-Ford solver: the run at the parameterized thread
+// count must reproduce the oracle's circulation and cycles, and the
+// inline run's priced outcome, bit for bit.
 TEST_P(ShardedEquivalenceTest, HundredGamesBitIdenticalM3) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
   const core::M3DoubleAuction mechanism;
   flow::SolveContext sharded;
   sharded.set_executor(&executor);
-  flow::SolveContext legacy;
+  flow::SolveContext serial;
   util::Rng rng(0x5EED5);
   for (int round = 0; round < 100; ++round) {
     core::Game game = (round % 2 == 0)
@@ -100,17 +122,22 @@ TEST_P(ShardedEquivalenceTest, HundredGamesBitIdenticalM3) {
                           : gen::random_ba_game(
                                 12 + 4 * (round % 5), 2,
                                 gen::GameConfig{}, rng);
-    const core::Outcome want = mechanism.run_truthful(legacy, game);
-    const core::Outcome got = mechanism.run_truthful(sharded, game);
-    expect_outcomes_identical(got, want,
-                              "round " + std::to_string(round) + " threads " +
-                                  std::to_string(threads));
+    const std::string what = "round " + std::to_string(round) + " threads " +
+                             std::to_string(threads);
+    const core::BidVector bids = game.truthful_bids();
+    const core::Outcome got = mechanism.run(sharded, game, bids);
+    expect_matches_oracle(
+        got, game.build_graph(bids),
+        oracle::circulation(game, bids, flow::SolverKind::kBellmanFord), what);
+    expect_outcomes_identical(got, mechanism.run(serial, game, bids), what);
   }
 }
 
 // Cross-mechanism, cross-solver matrix on a 4-component game: every
-// mechanism the service can run, under every solver kind, sharded vs
-// monolithic.
+// mechanism the service can run, under every solver kind, against a
+// whole-graph solve of the graph the mechanism bound, and against the
+// inline run. M2-MinFee drops the cycles that cannot fund its fee floor
+// from M2's optimum, so its circulation is checked through M2 alone.
 TEST_P(ShardedEquivalenceTest, AllMechanismsAllSolversBitIdentical) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
@@ -130,38 +157,47 @@ TEST_P(ShardedEquivalenceTest, AllMechanismsAllSolversBitIdentical) {
     for (const auto& mechanism : mechanisms) {
       flow::SolveContext sharded;
       sharded.set_executor(&executor);
-      flow::SolveContext legacy;
-      const core::Outcome want = mechanism->run_truthful(legacy, game);
+      flow::SolveContext serial;
+      const std::string what = std::string(mechanism->name()) + " solver " +
+                               std::to_string(static_cast<int>(kind)) +
+                               " threads " + std::to_string(threads);
       const core::Outcome got = mechanism->run_truthful(sharded, game);
-      expect_outcomes_identical(
-          got, want,
-          std::string(mechanism->name()) + " solver " +
-              std::to_string(static_cast<int>(kind)) + " threads " +
-              std::to_string(threads));
+      if (mechanism->name() != "M2-minfee") {
+        expect_matches_oracle(got, sharded.graph(),
+                              flow::solve_max_welfare(sharded.graph(), kind),
+                              what);
+      }
+      expect_outcomes_identical(got, mechanism->run_truthful(serial, game),
+                                what);
     }
   }
 }
 
-// VCG prices compared directly (the O(own-component) reprice path).
+// VCG prices (the O(own-component) reprice path) against the oracle's
+// whole-graph G_{-v} solves, for every solver kind.
 TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
   util::Rng rng(0xABCD);
-  const core::M2Vcg mechanism;
+  const flow::SolverKind kinds[] = {
+      flow::SolverKind::kBellmanFord, flow::SolverKind::kMinMean,
+      flow::SolverKind::kCapacityScaling, flow::SolverKind::kNetworkSimplex};
   for (int round = 0; round < 10; ++round) {
     const core::Game game = clustered_game(1 + round % 4, 10, rng);
-    flow::SolveContext sharded;
-    sharded.set_executor(&executor);
-    flow::SolveContext legacy;
-    const std::vector<double> want =
-        mechanism.vcg_prices(legacy, game, game.truthful_bids());
-    const std::vector<double> got =
-        mechanism.vcg_prices(sharded, game, game.truthful_bids());
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t v = 0; v < got.size(); ++v) {
-      expect_bits_equal(got[v], want[v],
-                        "round " + std::to_string(round) + " player " +
-                            std::to_string(v));
+    const core::BidVector bids = game.truthful_bids();
+    for (const flow::SolverKind kind : kinds) {
+      const core::M2Vcg mechanism(kind);
+      flow::SolveContext sharded;
+      sharded.set_executor(&executor);
+      const std::vector<double> got = mechanism.vcg_prices(sharded, game, bids);
+      const std::vector<double> want = oracle::vcg_prices(game, bids, kind);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t v = 0; v < got.size(); ++v) {
+        expect_bits_equal(got[v], want[v],
+                          "round " + std::to_string(round) + " solver " +
+                              std::to_string(static_cast<int>(kind)) +
+                              " player " + std::to_string(v));
+      }
     }
   }
 }
@@ -169,20 +205,18 @@ TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ShardedEquivalenceTest,
                          ::testing::Values(1, 2, 8));
 
-// Satellite regression: SolveStats counters on the sharded path must SUM
-// across components — the bug class where a stats struct reports only
-// the last component solved. graph_rebuilds likewise sums the
-// per-component pool builds.
+// SolveStats counters on the component path must SUM across components
+// to the whole-graph solve's — the bug class where a stats struct
+// reports only the last component solved. graph_rebuilds likewise sums
+// the per-component pool builds.
 TEST(ShardedStatsTest, CountersSumAcrossComponents) {
   util::Rng rng(0x57A75);
   const core::Game game = clustered_game(5, 10, rng);
   const core::BidVector bids = game.truthful_bids();
 
-  flow::SolveContext legacy;
-  game.bind_graph(legacy, bids);
   flow::SolveStats want;
-  const flow::Circulation f_legacy =
-      legacy.solve(flow::SolverKind::kBellmanFord, &want);
+  const flow::Circulation f_whole = flow::solve_max_welfare(
+      game.build_graph(bids), flow::SolverKind::kBellmanFord, &want);
 
   ParallelExecutor executor(4);
   flow::SolveContext sharded;
@@ -192,7 +226,7 @@ TEST(ShardedStatsTest, CountersSumAcrossComponents) {
   const flow::Circulation f_sharded =
       sharded.solve(flow::SolverKind::kBellmanFord, &got);
 
-  EXPECT_EQ(f_sharded, f_legacy);
+  EXPECT_EQ(f_sharded, f_whole);
   ASSERT_TRUE(sharded.shards_ready());
   EXPECT_EQ(sharded.num_components(), 5);
   // A 5-component game has cycles in more than one component, so a
@@ -236,12 +270,13 @@ TEST(ShardedServiceTest, NetworkDigestsMatchAcrossThreadCounts) {
     EXPECT_EQ(reports_sharded[i].network_digest,
               reports_single[i].network_digest)
         << "epoch " << i;
-    // The 8-thread run reports its component shape; the 1-thread run
-    // reports the whole graph as one "component".
-    if (reports_single[i].game_edges > 0) {
-      EXPECT_EQ(reports_single[i].solve_components, 1) << "epoch " << i;
-      EXPECT_GE(reports_sharded[i].solve_components, 1) << "epoch " << i;
-    }
+    // Both thread counts solve the same components.
+    EXPECT_EQ(reports_sharded[i].solve_components,
+              reports_single[i].solve_components)
+        << "epoch " << i;
+    EXPECT_EQ(reports_sharded[i].largest_component,
+              reports_single[i].largest_component)
+        << "epoch " << i;
   }
 }
 

@@ -15,11 +15,11 @@
 //   --metrics-out <path>   dump per-epoch metrics (.json → JSON, else CSV)
 //   --backend <b>          inproc (historic inline call) or service
 //                          (route every epoch through svc::RebalanceService)
-//   --threads <n>          epoch-solve concurrency: shard the bid graph by
-//                          weakly-connected component across n threads
-//                          (0 = hardware concurrency, 1 = legacy
-//                          whole-graph solve; results are bit-identical
-//                          at any value)
+//   --threads <n>          epoch-solve concurrency: the bid graph is
+//                          always solved by weakly-connected component;
+//                          n threads solve components at once
+//                          (0 = hardware concurrency, 1 = one at a time;
+//                          results are bit-identical at any value)
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on invalid input.
 #include <cstdio>
@@ -63,7 +63,7 @@ struct CliOptions {
   core::MechanismOptions mechanism;
   std::string metrics_out;
   std::string backend = "inproc";
-  /// Epoch-solve concurrency (0 = hardware, 1 = legacy whole-graph).
+  /// Epoch-solve concurrency (0 = hardware, 1 = components one at a time).
   int threads = 1;
 };
 

@@ -11,10 +11,10 @@
 //   --epochs <n>       stop after n epochs (0 = run forever) [0]
 //   --queue-cap <n>    intake queue capacity (players)       [1024]
 //   --threads <n>      epoch-solve concurrency: the clearing solve
-//                      shards the bid graph by weakly-connected
-//                      component across n threads (0 = hardware
-//                      concurrency, 1 = legacy whole-graph solve;
-//                      outcomes are bit-identical either way)  [0]
+//                      always splits the bid graph by weakly-connected
+//                      component; n threads solve components at once
+//                      (0 = hardware concurrency, 1 = one at a time;
+//                      outcomes are bit-identical at any value)  [0]
 //   --journal <path>   crash-safe epoch journal (WAL); on restart the
 //                      daemon recovers from the newest valid snapshot
 //                      (if any) plus the journal tail — falling back to
