@@ -237,6 +237,7 @@ int main() {
                     static_cast<std::uint64_t>(epochs));
   bench.config("recovery_speedup", speedup);
   bench.config("throughput_ratio", throughput_ratio);
+  bench.write();
 
   // The §15 gates: restart is bounded by the tail, and the bound is not
   // bought with steady-state throughput.
@@ -244,7 +245,6 @@ int main() {
                   "tail recovery is not >= 5x faster than genesis replay");
   MUSK_ASSERT_MSG(throughput_ratio <= 1.05,
                   "checkpointing cost exceeds the 1.05x throughput budget");
-  bench.write();
 
   remove_journal_files(plain_base);
   remove_journal_files(ckpt_base);

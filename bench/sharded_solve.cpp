@@ -159,6 +159,7 @@ int main() {
   util::maybe_export_csv(table, "sharded_solve");
 
   std::printf("\n8-cluster speedup at 8 threads: %.2fx\n", gate_speedup);
+  bench.write();
   // The acceptance gate: on the 8-component game the sharded solve must
   // at least halve the epoch-solve time. The bound holds even on one
   // core — each negative-cycle search scans ~1/8 of the arcs.

@@ -219,6 +219,7 @@ int main() {
   }
   table.print();
   util::maybe_export_csv(table, "solve_reuse_vcg");
+  bench.write();
   // The acceptance gate: reuse must at least halve the n=200 sweep.
   MUSK_ASSERT_MSG(speedup_200 >= 2.0,
                   "SolveContext reuse must be >= 2x at n=200");
@@ -263,6 +264,7 @@ int main() {
        util::fmt_double(static_cast<double>(allocs) / epochs, 1)});
   svc_table.print();
   util::maybe_export_csv(svc_table, "solve_reuse_service");
+  bench.write();
 
   // The acceptance gate: steady-state clears perform no graph rebuilds.
   MUSK_ASSERT_MSG(rebuilds == 0,

@@ -25,16 +25,15 @@
 namespace musketeer::flow {
 
 /// Solves max sum(gain_e * f_e) over feasible circulations via network
-/// simplex. Stats (when given) count pivots as cycles_cancelled.
-Circulation solve_network_simplex(const Graph& g, SolveStats* stats = nullptr);
-
-/// Scratch-reusing variant (bit-identical result): the basis, tree and
-/// potential buffers live in `ws` and are reused across solves. The full
-/// Workspace is taken (not just SimplexScratch) so the pivot-cap fallback
-/// path can reuse the Bellman–Ford scratch too. `cancel` is checked once
-/// per pivot (and forwarded into the fallback canceller).
+/// simplex. Stats (when given) count pivots as cycles_cancelled. The
+/// basis, tree and potential buffers live in `ws` and are reused across
+/// solves; the full Workspace is taken (not just SimplexScratch) so the
+/// pivot-cap fallback path can reuse the Bellman–Ford scratch too.
+/// `cancel` is checked once per pivot (and forwarded into the fallback
+/// canceller). Callers go through solve_max_welfare(...,
+/// SolverKind::kNetworkSimplex, ...).
 Circulation solve_network_simplex(const Graph& g, Workspace& ws,
-                                  SolveStats* stats = nullptr,
-                                  util::CancelToken* cancel = nullptr);
+                                  SolveStats* stats,
+                                  util::CancelToken* cancel);
 
 }  // namespace musketeer::flow

@@ -9,8 +9,6 @@ namespace {
 const char* solver_kind_name(SolverKind kind) {
   switch (kind) {
     case SolverKind::kBellmanFord: return "bellman_ford";
-    case SolverKind::kMinMean: return "min_mean";
-    case SolverKind::kCapacityScaling: return "capacity_scaling";
     case SolverKind::kNetworkSimplex: return "network_simplex";
   }
   return "unknown";
@@ -21,8 +19,6 @@ const char* solver_kind_name(SolverKind kind) {
 [[maybe_unused]] const char* solve_span_name(SolverKind kind) {
   switch (kind) {
     case SolverKind::kBellmanFord: return "flow.solve/bellman_ford";
-    case SolverKind::kMinMean: return "flow.solve/min_mean";
-    case SolverKind::kCapacityScaling: return "flow.solve/capacity_scaling";
     case SolverKind::kNetworkSimplex: return "flow.solve/network_simplex";
   }
   return "flow.solve/unknown";

@@ -18,6 +18,9 @@ namespace musketeer::util {
                static_cast<int>(expr.size()), expr.data(),
                static_cast<int>(file.size()), file.data(), line,
                static_cast<int>(msg.size()), msg.data());
+  // abort() skips stdio teardown: flush so a redirected stdout (a bench
+  // table printed before its gate fired) keeps what was already written.
+  std::fflush(nullptr);
   std::abort();
 }
 

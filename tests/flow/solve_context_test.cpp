@@ -129,8 +129,6 @@ TEST_P(SolveContextEquivalenceTest, RebindGainsMatchesFreshGraph) {
 
 INSTANTIATE_TEST_SUITE_P(AllSolvers, SolveContextEquivalenceTest,
                          ::testing::Values(SolverKind::kBellmanFord,
-                                           SolverKind::kMinMean,
-                                           SolverKind::kCapacityScaling,
                                            SolverKind::kNetworkSimplex));
 
 TEST(SolveContextTest, SolveBeforeBindDies) {

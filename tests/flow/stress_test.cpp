@@ -38,17 +38,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowStressTest,
 
 TEST(FlowStressTest, HighCapacityNoOverflow) {
   // Capacities near 1e12 with max bids: scaled welfare must stay exact
-  // (int128 accumulation) and the solver must still terminate.
+  // (int128 accumulation) and both solvers must still terminate.
   Graph g(3);
   const Amount big = 1'000'000'000'000LL;
   g.add_edge(0, 1, big, 0.09);
   g.add_edge(1, 2, big, -0.005);
   g.add_edge(2, 0, big, 0.0);
-  const Circulation f = solve_max_welfare(g);
-  EXPECT_EQ(f, (Circulation{big, big, big}));
-  // 1e12 * 0.085 = 8.5e10 coins of welfare, exactly.
-  EXPECT_EQ(scaled_welfare(g, f),
-            static_cast<__int128>(big) * scale_gain(0.085));
+  for (const SolverKind kind :
+       {SolverKind::kBellmanFord, SolverKind::kNetworkSimplex}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const Circulation f = solve_max_welfare(g, kind);
+    EXPECT_EQ(f, (Circulation{big, big, big}));
+    // 1e12 * 0.085 = 8.5e10 coins of welfare, exactly.
+    EXPECT_EQ(scaled_welfare(g, f),
+              static_cast<__int128>(big) * scale_gain(0.085));
+  }
+}
+
+TEST(FlowStressTest, CoinScaleBaGameSolversAgree) {
+  // Coin-scale channels (capacities up to 1e11): the network simplex's
+  // big-M artificial costs and both solvers' residual arithmetic must
+  // stay exact, so the two must agree on the optimum to the last unit.
+  util::Rng rng(1011);
+  gen::GameConfig config;
+  config.depleted_share = 0.3;
+  config.capacity_max = 100'000'000'000LL;
+  const core::Game game = gen::random_ba_game(64, 2, config, rng);
+  const Graph g = game.build_graph(game.truthful_bids());
+
+  const Circulation f_bf = solve_max_welfare(g, SolverKind::kBellmanFord);
+  const Circulation f_ns = solve_max_welfare(g, SolverKind::kNetworkSimplex);
+  EXPECT_GT(scaled_welfare(g, f_bf), 0);
+  EXPECT_EQ(scaled_welfare(g, f_bf), scaled_welfare(g, f_ns));
+  EXPECT_TRUE(is_optimal(g, f_bf));
+  EXPECT_TRUE(is_optimal(g, f_ns));
 }
 
 TEST(FlowStressTest, ManyParallelEdgesHandled) {

@@ -144,9 +144,8 @@ TEST_P(ShardedEquivalenceTest, AllMechanismsAllSolversBitIdentical) {
   util::Rng rng(0xFACADE);
   const core::Game game = clustered_game(4, 12, rng);
 
-  const flow::SolverKind kinds[] = {
-      flow::SolverKind::kBellmanFord, flow::SolverKind::kMinMean,
-      flow::SolverKind::kCapacityScaling, flow::SolverKind::kNetworkSimplex};
+  const flow::SolverKind kinds[] = {flow::SolverKind::kBellmanFord,
+                                    flow::SolverKind::kNetworkSimplex};
   for (const flow::SolverKind kind : kinds) {
     std::vector<std::unique_ptr<core::Mechanism>> mechanisms;
     mechanisms.push_back(std::make_unique<core::M1FixedFee>(0.001, 3.0, kind));
@@ -179,9 +178,8 @@ TEST_P(ShardedEquivalenceTest, VcgPricesBitIdentical) {
   const int threads = GetParam();
   ParallelExecutor executor(threads);
   util::Rng rng(0xABCD);
-  const flow::SolverKind kinds[] = {
-      flow::SolverKind::kBellmanFord, flow::SolverKind::kMinMean,
-      flow::SolverKind::kCapacityScaling, flow::SolverKind::kNetworkSimplex};
+  const flow::SolverKind kinds[] = {flow::SolverKind::kBellmanFord,
+                                    flow::SolverKind::kNetworkSimplex};
   for (int round = 0; round < 10; ++round) {
     const core::Game game = clustered_game(1 + round % 4, 10, rng);
     const core::BidVector bids = game.truthful_bids();

@@ -8,6 +8,7 @@
 //   --rate <r>          aggregate target bids/sec            [1000]
 //   --duration-s <s>    run length in seconds                [5]
 //   --players <p>       player-id space to cycle through     [nodes]
+//                       (>= 0; with --spawn at most --nodes)
 //   --retry-budget-ms <ms>  cumulative backoff each submit may burn
 //                       retrying through shed / lost connections before
 //                       surrendering (0 = fail fast)         [2000]
@@ -191,7 +192,18 @@ int main(int argc, char** argv) {
     }
     if (spawn == !connect.empty()) return usage();  // exactly one source
     if (connections < 1 || rate <= 0.0 || duration_s <= 0.0) return usage();
+    if (players < 0) {
+      std::fprintf(stderr, "--players must not be negative\n");
+      return usage();
+    }
     if (players == 0) players = sim_config.num_nodes;
+    // A spawned daemon knows exactly --nodes players; ids beyond that
+    // would only be rejected one bid at a time.
+    if (spawn && players > sim_config.num_nodes) {
+      std::fprintf(stderr, "--players %d exceeds --nodes %d\n", players,
+                   sim_config.num_nodes);
+      return usage();
+    }
 
     std::unique_ptr<svc::Daemon> daemon;
     if (spawn) {
