@@ -26,15 +26,6 @@ const char* solver_kind_name(SolverKind kind) {
 
 }  // namespace
 
-void SolveContext::rebind_gains(std::span<const double> gains) {
-  MUSK_ASSERT_MSG(bound_, "rebind_gains before bind");
-  MUSK_ASSERT(static_cast<EdgeId>(gains.size()) == graph_.num_edges());
-  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
-    graph_.set_gain(e, gains[static_cast<std::size_t>(e)]);
-  }
-  ++stats_.rebinds;
-}
-
 Executor& SolveContext::executor() const {
   // Stateless, so one instance safely serves every context and thread.
   static SerialExecutor inline_executor;
@@ -192,14 +183,6 @@ std::span<const EdgeId> SolveContext::component_edges(int c) const {
   MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
   MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
   return slots_[static_cast<std::size_t>(c)].edges;
-}
-
-const Circulation& SolveContext::component_flow(int c) const {
-  MUSK_ASSERT_MSG(shards_ready(), "no solve since the last bind");
-  MUSK_ASSERT(c >= 0 && c < static_cast<int>(slots_.size()));
-  const ComponentSlot& slot = slots_[static_cast<std::size_t>(c)];
-  MUSK_ASSERT_MSG(slot.clean, "component flow requested before its solve");
-  return slot.flow;
 }
 
 SolveContext& local_context() {

@@ -8,7 +8,6 @@
 //     currently bound graph (node count and per-edge endpoints), only
 //     capacities and gains are refreshed in place ("rebind", O(m), no
 //     allocation); otherwise the graph is rebuilt ("structure build").
-//   * rebind_gains(gains) — cheapest path: refresh gains only.
 //   * solve(kind, stats)  — the welfare-maximizing circulation of the
 //     bound graph, solved by weakly-connected component (below).
 //     SolveStats::graph_rebuilds reports how many graph constructions
@@ -105,13 +104,6 @@ class SolveContext {
   }
   util::CancelToken* cancel() const { return cancel_; }
 
-  /// Adopts `g` as the bound graph (always a structure build).
-  void bind(Graph&& g) {
-    graph_ = std::move(g);
-    bound_ = true;
-    ++stats_.structure_builds;
-  }
-
   /// Binds from any edge-list source. Source must provide num_nodes(),
   /// num_edges(), edge_from(e), edge_to(e), capacity(e) and gain(e).
   /// Rebinds in place when the structure (node count + per-edge
@@ -146,9 +138,6 @@ class SolveContext {
     }
     return graph_;
   }
-
-  /// Refreshes per-edge gains only (capacities and structure untouched).
-  void rebind_gains(std::span<const double> gains);
 
   /// Solves the bound graph component by component (see the header
   /// comment). Bit-identical to solve_max_welfare on the whole graph.
@@ -187,10 +176,6 @@ class SolveContext {
   /// Global edge ids of component `c` (ascending); component_graph(c)'s
   /// local edge i is global edge component_edges(c)[i].
   std::span<const EdgeId> component_edges(int c) const;
-
-  /// Component `c`'s cached optimal local circulation from the last
-  /// solve (indexed like component_graph(c)'s edges).
-  const Circulation& component_flow(int c) const;
 
   /// Components the last solve partitioned into (0 before any solve or
   /// on an empty graph) and the largest component's edge count.

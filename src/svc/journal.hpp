@@ -34,9 +34,8 @@
 //     times recovery itself is interrupted.
 //
 // On-disk layout (DESIGN.md §15): the journal at base path `P` is the
-// segment files `P.<seq>.wal` (6-digit zero-padded seq) plus an
-// advisory manifest `P.manifest`. Each segment starts with the 8-byte
-// header "MUSKJRN1", then records
+// segment files `P.<seq>.wal` (6-digit zero-padded seq). Each segment
+// starts with the 8-byte header "MUSKJRN1", then records
 //
 //   u32 magic 'MJRN' | u8 type | u32 epoch | u64 digest |
 //   u32 payload_len | payload | u64 fnv1a(type..payload)
@@ -45,10 +44,9 @@
 // explicitly before each snapshot (so a recovery tail always starts at
 // a BEGIN) and automatically once the active segment exceeds
 // JournalConfig::max_segment_bytes. compact_below(seq) unlinks whole
-// segments a durable snapshot has made redundant. The manifest lists
-// the live segment seqs; it is rewritten (tmp + fsync + rename) on
-// every roll/compact but the directory scan is the ground truth on
-// open — a crash between a roll and the manifest rewrite costs nothing.
+// segments a durable snapshot has made redundant. The directory listing
+// is the only index of the chain: no other file names the live
+// segments, so nothing can disagree with it after a crash.
 //
 // On open the journal scans the segment chain in seq order, keeps the
 // longest valid record prefix, and discards the torn/corrupt tail (the
@@ -61,9 +59,8 @@
 // external payment feed).
 //
 // Appends are serialized internally (rank kJournal, below the service's
-// epoch lock that normally drives them); the read accessors assume a
-// quiescent journal — recovery runs before the service exists, and
-// tests inspect records between epochs.
+// epoch lock that normally drives them). records() is fixed at open,
+// and recovery reads it before the service exists.
 #pragma once
 
 #include <atomic>
@@ -148,9 +145,8 @@ SeqWatermarks decode_watermarks(std::string_view payload);
 /// Path of segment `seq` of the journal at `base_path`
 /// (`<base>.<seq 6-digit>.wal`).
 std::string segment_path(const std::string& base_path, std::uint64_t seq);
-/// Path of the advisory segment manifest (`<base>.manifest`).
-std::string manifest_path(const std::string& base_path);
-/// Segment seqs present on disk for `base_path`, ascending. Read-only.
+/// Segment seqs present on disk for `base_path`, ascending; any other
+/// file beside the journal is ignored. Read-only.
 std::vector<std::uint64_t> list_segments(const std::string& base_path);
 
 /// One segment file as seen by a read-only scan.
@@ -174,12 +170,11 @@ struct JournalScan {
   /// The longest valid record prefix across the segment chain (records
   /// past the first damaged segment are crash artifacts and excluded).
   std::vector<JournalRecord> records;
-  bool clean = true;        ///< every segment clean, chain contiguous
-  bool manifest_ok = true;  ///< manifest present, intact, matches disk
-  std::string note;         ///< first problem found (diagnostic)
+  bool clean = true;  ///< every segment clean, chain contiguous
+  std::string note;   ///< first problem found (diagnostic)
 };
 
-/// Scans segments + manifest without opening anything for write. Never
+/// Scans the segments without opening anything for write. Never
 /// repairs; never throws on corruption (corruption is the *answer*).
 JournalScan scan_journal(const std::string& base_path);
 
@@ -205,9 +200,10 @@ class Journal {
 
   const std::string& path() const { return path_; }
 
-  /// Every committed record: what open() recovered plus every append
-  /// since, in stream order. Compaction removes files, not this
-  /// in-memory view (indices stay stable for records_from_segment).
+  /// The records open() recovered, in stream order. Appends made since
+  /// are on disk only (scan_journal reads them), so a long-running
+  /// daemon holds no copy of its history. Compaction removes files, not
+  /// this view (indices stay stable for records_from_segment).
   const std::vector<JournalRecord>& records() const { return records_; }
 
   /// Bytes of committed (written + fsync'd) journal across all *live*
@@ -229,20 +225,20 @@ class Journal {
   std::uint64_t current_segment() const MUSK_EXCLUDES(mutex_);
   std::uint64_t oldest_segment() const MUSK_EXCLUDES(mutex_);
 
-  /// Index into records() of the first record stored in a live segment
-  /// with seq >= `seq` (records().size() when no such record): the
+  /// Index into records() of the first recovered record in a live
+  /// segment with seq >= `seq` (records().size() when none): the
   /// recovery tail for a snapshot whose first_segment is `seq`.
   std::size_t records_from_segment(std::uint64_t seq) const
       MUSK_EXCLUDES(mutex_);
 
   /// Closes the active segment and opens a fresh one (header written
-  /// and fsync'd, manifest rewritten). Called at epoch boundaries only.
+  /// and fsync'd). Called at epoch boundaries only.
   void roll_segment() MUSK_EXCLUDES(mutex_);
 
   /// Unlinks every live segment with seq < `seq_bound` (never the
-  /// active one) and rewrites the manifest; returns how many segments
-  /// were removed. The caller guarantees a durable snapshot covers the
-  /// removed history (svc::SnapshotStore::oldest_retained_first_segment).
+  /// active one); returns how many segments were removed. The caller
+  /// guarantees a durable snapshot covers the removed history
+  /// (svc::SnapshotStore::oldest_retained_first_segment).
   std::size_t compact_below(std::uint64_t seq_bound) MUSK_EXCLUDES(mutex_);
 
   void append_begin(int epoch, std::uint64_t pre_digest)
@@ -271,24 +267,23 @@ class Journal {
     std::size_t first_record = 0;   ///< index into records_
   };
 
-  /// Encodes, writes, and fsyncs one record; only then is it added to
-  /// records_ and counted in committed_bytes_. On fsync failure the
-  /// file is truncated back to the committed prefix (a written but
-  /// unsynced record must not resurface on replay) and JournalError is
-  /// thrown; if even the truncate fails the journal is poisoned and
-  /// every later append throws.
+  /// Encodes, writes, and fsyncs one record; only then is it counted
+  /// in committed_bytes_. On fsync failure the file is truncated back
+  /// to the committed prefix (a written but unsynced record must not
+  /// resurface on replay) and JournalError is thrown; if even the
+  /// truncate fails the journal is poisoned and every later append
+  /// throws.
   void append(RecordType type, int epoch, std::uint64_t digest,
               const std::string& payload) MUSK_EXCLUDES(mutex_);
   void roll_locked() MUSK_REQUIRES(mutex_);
-  void write_manifest_locked() MUSK_REQUIRES(mutex_);
 
   std::string path_;
   const JournalConfig config_;
 
   /// Serializes appends and segment transitions (the file offset,
   /// poison state, and segment chain are one atomically-advanced
-  /// unit). records_/committed_bytes_ are written under it too but
-  /// read through the quiescent-only accessors above.
+  /// unit). committed_bytes_ is written under it too but read
+  /// through the relaxed atomic accessor above.
   mutable util::OrderedMutex mutex_{util::LockRank::kJournal, "journal"};
   int fd_ MUSK_GUARDED_BY(mutex_) = -1;
   bool poisoned_ MUSK_GUARDED_BY(mutex_) = false;

@@ -3,7 +3,10 @@
 // in-flight application, digest verification).
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "pcn/rebalancer.hpp"
 #include "svc/journal.hpp"
 #include "svc/service.hpp"
+#include "svc/snapshot.hpp"
 #include "svc_test_util.hpp"
 
 namespace musketeer::svc {
@@ -50,7 +54,7 @@ TEST(Journal, RecordsSurviveReopen) {
     journal.append_settled(0, 222);
     journal.append_begin(1, 222);
     journal.append_aborted(1, 222);
-    EXPECT_EQ(journal.records().size(), 4u);
+    EXPECT_EQ(scan_journal(path).records.size(), 4u);
   }
   Journal journal(path);
   ASSERT_EQ(journal.records().size(), 4u);
@@ -149,9 +153,7 @@ TEST(Journal, SegmentsRollAtEpochBoundariesAndSurviveReopen) {
               epoch);
   }
   EXPECT_EQ(journal.truncated_tail_bytes(), 0u);
-  const JournalScan scan = scan_journal(path);
-  EXPECT_TRUE(scan.clean);
-  EXPECT_TRUE(scan.manifest_ok);
+  EXPECT_TRUE(scan_journal(path).clean);
 }
 
 TEST(Journal, CompactBelowUnlinksCoveredSegments) {
@@ -167,8 +169,9 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
     }
     // Segments 0..3; epoch 2's records live in segment 2, segment 3 is
     // the empty current tail.
-    records_kept =
-        journal.records().size() - journal.records_from_segment(2);
+    const JournalScan before = scan_journal(path);
+    ASSERT_EQ(before.segments.size(), 4u);
+    records_kept = before.segments[2].records + before.segments[3].records;
 
     EXPECT_EQ(journal.compact_below(2), 2u);
     EXPECT_EQ(journal.oldest_segment(), 2u);
@@ -195,36 +198,104 @@ TEST(Journal, CompactBelowUnlinksCoveredSegments) {
   EXPECT_EQ(reopened.current_segment(), 3u);
 }
 
-TEST(Journal, ManifestIsAdvisoryAndRebuiltOnOpen) {
-  const std::string path = temp_journal("manifest");
+TEST(Journal, RecordsHoldOnlyWhatOpenRecovered) {
+  const std::string path = temp_journal("bounded");
+  const auto append_epochs = [](Journal& journal, int first) {
+    for (int epoch = first; epoch < first + 100; ++epoch) {
+      journal.append_begin(epoch, 1000 + epoch);
+      journal.append_settled(epoch, 1001 + epoch);
+    }
+  };
   {
-    JournalConfig config;
-    config.max_segment_bytes = 1;
-    Journal journal(path, config);
-    journal.append_begin(0, 5);
-    journal.append_settled(0, 6);
-  }
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
-
-  // A corrupt manifest never hides data: the scan flags it, the
-  // directory walk still finds every segment, and the next open
-  // rewrites it.
-  flip_byte(manifest_path(path), 9);
-  {
-    const JournalScan scan = scan_journal(path);
-    EXPECT_FALSE(scan.manifest_ok);
-    EXPECT_TRUE(scan.clean);
-    EXPECT_EQ(scan.records.size(), 2u);
     Journal journal(path);
-    EXPECT_EQ(journal.records().size(), 2u);
+    append_epochs(journal, 0);
+    // Appends go to disk, not into memory.
+    EXPECT_TRUE(journal.records().empty());
+    EXPECT_EQ(scan_journal(path).records.size(), 200u);
   }
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
-
-  // Same story for a missing manifest.
-  std::remove(manifest_path(path).c_str());
-  EXPECT_FALSE(scan_journal(path).manifest_ok);
   Journal journal(path);
-  EXPECT_TRUE(scan_journal(path).manifest_ok);
+  ASSERT_EQ(journal.records().size(), 200u);
+  append_epochs(journal, 100);
+  EXPECT_EQ(journal.records().size(), 200u);
+  const JournalScan scan = scan_journal(path);
+  ASSERT_EQ(scan.records.size(), 400u);
+  EXPECT_EQ(scan.records.back().epoch, 199);
+}
+
+// Files beside the journal that are neither a segment nor a snapshot —
+// the `<base>.manifest` older versions wrote, tmp files a crash left, a
+// snapshot name with a non-digit — are not part of it. Each stray holds
+// bytes that would pass for real data if a reader picked it up.
+TEST(Journal, StrayFilesNeverHideData) {
+  const sim::SimulationConfig config = small_config(5);
+  const std::string path = temp_journal("strays");
+  core::M3DoubleAuction mechanism;
+  {
+    Journal journal(path);
+    SnapshotStore snapshots(path);
+    pcn::Network live = make_network(config);
+    ServiceConfig service_config;
+    service_config.policy = config.policy;
+    service_config.journal = &journal;
+    service_config.snapshots = &snapshots;
+    service_config.snapshot_every = 2;
+    RebalanceService service(live, mechanism, service_config);
+    for (int epoch = 0; epoch < 5; ++epoch) service.run_epoch();
+  }
+  const std::vector<std::uint64_t> segments = list_segments(path);
+  const std::vector<std::uint64_t> snapshots = list_snapshots(path);
+  ASSERT_FALSE(snapshots.empty());
+
+  struct Opened {
+    std::vector<JournalRecord> records;
+    std::uint64_t digest = 0;
+  };
+  const auto open_and_recover = [&] {
+    Opened opened;
+    Journal journal(path);
+    const SnapshotStore store(path);
+    pcn::Network network = make_network(config);
+    opened.records = journal.records();
+    opened.digest =
+        recover(journal, store, network, config.policy).final_digest;
+    return opened;
+  };
+  const Opened before = open_and_recover();
+  ASSERT_FALSE(before.records.empty());
+
+  const auto read_all = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string snapshot_bytes =
+      read_all(snapshot_path(path, snapshots.front()));
+  const std::string segment_bytes =
+      read_all(segment_path(path, segments.back()));
+  const std::vector<std::pair<std::string, std::string>> strays = {
+      {path + ".manifest", "a legacy segment manifest"},
+      {path + ".manifest.tmp", "its torn rewrite"},
+      {path + ".snap.tmp", snapshot_bytes},
+      {path + ".000001.wal.tmp", segment_bytes},
+      {path + ".snap.12x", snapshot_bytes},
+  };
+  for (const auto& [file, bytes] : strays) {
+    std::remove(file.c_str());
+    append_raw(file, bytes);
+  }
+
+  EXPECT_EQ(list_segments(path), segments);
+  EXPECT_EQ(list_snapshots(path), snapshots);
+  EXPECT_TRUE(scan_journal(path).clean);
+  const Opened after = open_and_recover();
+  ASSERT_EQ(after.records.size(), before.records.size());
+  for (std::size_t i = 0; i < before.records.size(); ++i) {
+    EXPECT_EQ(after.records[i].type, before.records[i].type) << i;
+    EXPECT_EQ(after.records[i].epoch, before.records[i].epoch) << i;
+    EXPECT_EQ(after.records[i].digest, before.records[i].digest) << i;
+    EXPECT_EQ(after.records[i].payload, before.records[i].payload) << i;
+  }
+  EXPECT_EQ(after.digest, before.digest);
+  for (const auto& stray : strays) std::remove(stray.first.c_str());
 }
 
 TEST(Journal, WatermarksCommitAtOutcomeSettleAndDropAtAbort) {
@@ -334,9 +405,10 @@ TEST(Journal, InflightOutcomeAppliedExactlyOnceAndClosed) {
     EXPECT_EQ(report.final_digest, reference_report.network_digest);
     expect_networks_equal(recovered, reference);
     // Recovery closed the epoch durably.
-    ASSERT_FALSE(journal.records().empty());
-    EXPECT_EQ(journal.records().back().type, RecordType::kSettled);
-    EXPECT_EQ(journal.records().back().digest, reference_report.network_digest);
+    const JournalScan scan = scan_journal(path);
+    ASSERT_FALSE(scan.records.empty());
+    EXPECT_EQ(scan.records.back().type, RecordType::kSettled);
+    EXPECT_EQ(scan.records.back().digest, reference_report.network_digest);
   }
 
   // A second recovery (recovery itself interrupted and retried) replays

@@ -302,12 +302,14 @@ TEST(Service, MechanismThrowReleasesLocksAndReusesEpoch) {
 
   // The abort is durable: the journal closed epoch 0 with ABORTED, so a
   // recovering daemon knows the rollback was deliberate.
-  ASSERT_EQ(journal.records().size(), 2u);
-  EXPECT_EQ(journal.records()[0].type, RecordType::kBegin);
-  EXPECT_EQ(journal.records()[0].epoch, 0);
-  EXPECT_EQ(journal.records()[0].digest, genesis);
-  EXPECT_EQ(journal.records()[1].type, RecordType::kAborted);
-  EXPECT_EQ(journal.records()[1].epoch, 0);
+  const std::vector<JournalRecord> records =
+      scan_journal(journal_path).records;
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].type, RecordType::kBegin);
+  EXPECT_EQ(records[0].epoch, 0);
+  EXPECT_EQ(records[0].digest, genesis);
+  EXPECT_EQ(records[1].type, RecordType::kAborted);
+  EXPECT_EQ(records[1].epoch, 0);
 
   // The retry clears epoch 0 and, bids aside, matches a service that
   // never failed (the aborted attempt left no trace on the network).

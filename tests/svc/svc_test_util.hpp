@@ -15,7 +15,7 @@
 namespace musketeer::svc::testutil {
 
 /// Removes every on-disk artifact a journal base can own — rotated
-/// segments, manifest, snapshots, stray tmp files — so a test starts
+/// segments, snapshots, the snapshot tmp file — so a test starts
 /// from a genuinely fresh journal (std::remove on the bare base stopped
 /// being enough when the journal became segmented).
 inline void remove_journal_files(const std::string& base) {
@@ -25,9 +25,7 @@ inline void remove_journal_files(const std::string& base) {
   for (const std::uint64_t seq : list_snapshots(base)) {
     std::remove(snapshot_path(base, seq).c_str());
   }
-  std::remove(manifest_path(base).c_str());
   std::remove((base + ".snap.tmp").c_str());
-  std::remove((manifest_path(base) + ".tmp").c_str());
   std::remove(base.c_str());
 }
 
